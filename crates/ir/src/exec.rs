@@ -175,12 +175,11 @@ fn eval_node<'a>(
         )?,
         OpKind::Softmax => ops::softmax_rows(arg(0)?, precision)?,
         OpKind::Add => {
-            let sum = arg(0)?.add(arg(1)?)?;
+            let mut sum = arg(0)?.add(arg(1)?)?;
             if precision == Precision::Fp16 {
-                sum.to_f16()
-            } else {
-                sum
+                sum.quantize_f16();
             }
+            sum
         }
         OpKind::Flatten => {
             let t = arg(0)?;

@@ -42,12 +42,20 @@ impl UnaryOp {
 
 /// Applies a unary map over the tensor, honouring FP16 semantics.
 pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
+    use crate::f16::quantize;
     let mut data: Vec<f32> = match precision {
         Precision::Fp32 => input.data().par_iter().map(|&x| op.apply(x)).collect(),
+        // max(·, 0) and |·| map FP16 values to FP16 values, so quantising
+        // their output again would change no bit.
+        Precision::Fp16 if matches!(op, UnaryOp::Relu | UnaryOp::Abs) => input
+            .data()
+            .par_iter()
+            .map(|&x| op.apply(quantize(x)))
+            .collect(),
         Precision::Fp16 => input
             .data()
             .par_iter()
-            .map(|&x| crate::f16::quantize(op.apply(crate::f16::quantize(x))))
+            .map(|&x| quantize(op.apply(quantize(x))))
             .collect(),
     };
     // Parallel map preserves length; shape unchanged.
@@ -99,6 +107,34 @@ mod tests {
         let t = Tensor::from_vec(Shape::vec(3), vec![-100.0, 0.0, 100.0]).unwrap();
         let r = tanh_op(&t, Precision::Fp32).unwrap();
         assert_eq!(r.data(), &[-1.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn fp16_relu_and_abs_skip_the_output_quantisation_bit_for_bit() {
+        use crate::f16::{quantize, F16};
+        // Every binary16 value, then f32-only inputs: infinities, NaN,
+        // f32 subnormals, and a strided sweep over all f32 bit patterns.
+        let mut xs: Vec<f32> = (0..=u16::MAX).map(|h| F16(h).to_f32()).collect();
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+        xs.extend(
+            [1u32, 0x0000_0400, 0x007F_FFFF]
+                .iter()
+                .flat_map(|&b| [f32::from_bits(b), -f32::from_bits(b)]),
+        );
+        xs.extend((0..=u32::MAX).step_by(4099).map(f32::from_bits));
+        let t = Tensor::from_vec(Shape::vec(xs.len()), xs.clone()).unwrap();
+        for op in [UnaryOp::Relu, UnaryOp::Abs] {
+            let got = map_unary(&t, op, Precision::Fp16).unwrap();
+            for (&x, &y) in xs.iter().zip(got.data()) {
+                let want = quantize(op.apply(quantize(x)));
+                assert_eq!(
+                    y.to_bits(),
+                    want.to_bits(),
+                    "{op:?} at {:#010x}",
+                    x.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   partitioning never splits one output element's accumulation chain.
 
 use at_tensor::ops::conv::Conv2dParams;
-use at_tensor::ops::{conv2d, matmul_ex, reference};
-use at_tensor::{ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
+use at_tensor::ops::{batchnorm2d, conv2d, matmul_ex, reference, relu, tanh_op};
+use at_tensor::{f16, ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -262,7 +262,8 @@ fn degenerate_shapes_bitwise() {
 
 /// The kernels must produce identical bits no matter how many rayon worker
 /// partitions execute them: partitioning is by whole output rows/planes, so
-/// no accumulation chain is ever split.
+/// no accumulation chain is ever split, and elementwise maps are placed by
+/// block index.
 #[test]
 fn deterministic_across_thread_counts() {
     let a = tensor(Shape::mat(37, 19), 11);
@@ -288,13 +289,32 @@ fn deterministic_across_thread_counts() {
             ..Default::default()
         },
     ];
+    // Elementwise ops over an odd length above `f16`'s parallel threshold
+    // (1 << 14), so blocks end mid-way through every partition scheme.
+    let e = tensor(Shape::nchw(1, 3, 73, 79), 15);
+    let channel = |v: [f32; 3]| Tensor::from_vec(Shape::vec(3), v.to_vec()).unwrap();
+    let (gamma, beta) = (channel([0.5, 1.5, -2.0]), channel([0.1, -0.3, 0.0]));
+    let (mean, var) = (channel([0.2, -0.1, 0.05]), channel([0.5, 1.0, 2.0]));
     let run = || {
         let mm = matmul_ex(&a, &b, None, Precision::Fp32, MulApprox::Exact).unwrap();
         let convs: Vec<Vec<u32>> = params
             .iter()
             .map(|&p| bits(&conv2d(&x, &w, None, p).unwrap()))
             .collect();
-        (bits(&mm), convs)
+        let mut elementwise: Vec<Vec<u32>> = [Precision::Fp32, Precision::Fp16]
+            .into_iter()
+            .flat_map(|p| [relu(&e, p).unwrap(), tanh_op(&e, p).unwrap()])
+            .map(|t| bits(&t))
+            .collect();
+        elementwise.push(
+            f16::quantized(e.data())
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+        );
+        let bn = batchnorm2d(&e, &gamma, &beta, &mean, &var, 1e-5, Precision::Fp16).unwrap();
+        elementwise.push(bits(&bn));
+        (bits(&mm), convs, elementwise)
     };
     let reference_run = run();
     for threads in [1usize, 2, 4] {
