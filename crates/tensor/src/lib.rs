@@ -28,8 +28,9 @@
 //!   products served from a precomputed Mitchell-multiplier table
 //!   ([`lut`]), accumulated exactly in `i64`.
 //!
-//! Kernels are parallelised with rayon over batch × output-channel (or rows
-//! for 2-D ops), following the data-parallel iterator idiom.
+//! Kernels are parallelised with rayon, following the data-parallel
+//! iterator idiom: the lowered convolutions over images, the direct matmul
+//! over 8-row blocks, the other ops over batch × channel planes or rows.
 //!
 //! The layout is NCHW throughout, matching the paper's cuDNN-based library.
 

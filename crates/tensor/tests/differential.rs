@@ -15,7 +15,10 @@
 //!   partitioning never splits one output element's accumulation chain.
 
 use at_tensor::ops::conv::Conv2dParams;
-use at_tensor::ops::{batchnorm2d, conv2d, matmul_ex, reference, relu, tanh_op};
+use at_tensor::ops::{
+    batchnorm2d, conv2d, conv2d_abft, flip_bit, matmul_ex, reference, relu, tanh_op,
+};
+use at_tensor::TensorError;
 use at_tensor::{f16, ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -295,12 +298,44 @@ fn deterministic_across_thread_counts() {
     let channel = |v: [f32; 3]| Tensor::from_vec(Shape::vec(3), v.to_vec()).unwrap();
     let (gamma, beta) = (channel([0.5, 1.5, -2.0]), channel([0.1, -0.3, 0.0]));
     let (mean, var) = (channel([0.2, -0.1, 0.05]), channel([0.5, 1.0, 2.0]));
+    // Batch 5 splits unevenly over every thread count's image blocks, and
+    // K = 12 runs the GEMM's 8 + 4 row groups.
+    let x2 = tensor(Shape::nchw(5, 3, 16, 16), 16);
+    let w2 = tensor(Shape::nchw(12, 3, 3, 3), 17);
+    let b2 = tensor(Shape::vec(12), 18);
+    let padded = |approx, precision, mul| Conv2dParams {
+        pad: (1, 1),
+        approx,
+        precision,
+        mul,
+        ..Default::default()
+    };
+    let perforated = |dim| ConvApprox::Perforation {
+        dim,
+        k: 2,
+        offset: 1,
+    };
+    let (fp32, exact) = (Precision::Fp32, MulApprox::Exact);
+    let params2 = [
+        padded(ConvApprox::Exact, fp32, exact),
+        padded(ConvApprox::Exact, Precision::Fp16, exact),
+        padded(perforated(PerforationDim::Row), fp32, exact),
+        padded(perforated(PerforationDim::Col), fp32, exact),
+        padded(ConvApprox::FilterSampling { k: 3, offset: 1 }, fp32, exact),
+        padded(ConvApprox::Exact, fp32, MulApprox::Lut { bits: 6 }),
+    ];
     let run = || {
         let mm = matmul_ex(&a, &b, None, Precision::Fp32, MulApprox::Exact).unwrap();
-        let convs: Vec<Vec<u32>> = params
+        let mut convs: Vec<Vec<u32>> = params
             .iter()
             .map(|&p| bits(&conv2d(&x, &w, None, p).unwrap()))
             .collect();
+        convs.extend(
+            params2
+                .iter()
+                .map(|&p| bits(&conv2d(&x2, &w2, Some(&b2), p).unwrap())),
+        );
+        convs.push(bits(&conv2d_abft(&x2, &w2, Some(&b2), params2[0]).unwrap()));
         let mut elementwise: Vec<Vec<u32>> = [Precision::Fp32, Precision::Fp16]
             .into_iter()
             .flat_map(|p| [relu(&e, p).unwrap(), tanh_op(&e, p).unwrap()])
@@ -324,5 +359,41 @@ fn deterministic_across_thread_counts() {
             .unwrap();
         let got = pool.install(run);
         assert_eq!(got, reference_run, "results differ at {threads} threads");
+    }
+}
+
+/// A corrupted ABFT convolution reports the lowest corrupted image, at any
+/// thread count. A flip of the top exponent bit turns a value in [1, 2)
+/// into a NaN, which no checksum comparison can pass.
+#[test]
+fn abft_conv_reports_the_lowest_corrupted_image_at_any_thread_count() {
+    let w = tensor(Shape::nchw(12, 3, 3, 3), 21);
+    let mut x = tensor(Shape::nchw(5, 3, 16, 16), 22);
+    let image = 3 * 16 * 16;
+    let data = x.data_mut();
+    for img in [3, 1] {
+        let at = img * image + 100;
+        data[at] = 1.5;
+        flip_bit(data, at, 30);
+    }
+    let params = Conv2dParams {
+        pad: (1, 1),
+        ..Default::default()
+    };
+    for threads in [1usize, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        match pool.install(|| conv2d_abft(&x, &w, None, params)) {
+            Err(TensorError::CorruptionDetected { op, detail }) => {
+                assert_eq!(op, "conv2d");
+                assert!(
+                    detail.starts_with("image 1, group 0:"),
+                    "{threads} threads: {detail}"
+                );
+            }
+            other => panic!("{threads} threads: want CorruptionDetected, got {other:?}"),
+        }
     }
 }
