@@ -42,25 +42,43 @@ impl UnaryOp {
 
 /// Applies a unary map over the tensor, honouring FP16 semantics.
 pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
-    use crate::f16::quantize;
-    let mut data: Vec<f32> = match precision {
-        Precision::Fp32 => input.data().par_iter().map(|&x| op.apply(x)).collect(),
-        // max(·, 0) and |·| map FP16 values to FP16 values, so quantising
-        // their output again would change no bit.
-        Precision::Fp16 if matches!(op, UnaryOp::Relu | UnaryOp::Abs) => input
-            .data()
-            .par_iter()
-            .map(|&x| op.apply(quantize(x)))
-            .collect(),
-        Precision::Fp16 => input
-            .data()
-            .par_iter()
-            .map(|&x| quantize(op.apply(quantize(x))))
-            .collect(),
+    // max(·, 0) and |·| map FP16 values to FP16 values, so quantising
+    // their output again would change no bit.
+    let closed = matches!(op, UnaryOp::Relu | UnaryOp::Abs);
+    let xs = input.data();
+    // One loop per variant, each with the variant fixed: a `match` on `op`
+    // inside the element loop keeps the loop from vectorising.
+    let data = match op {
+        UnaryOp::Relu => map_slice(xs, precision, closed, |x| UnaryOp::Relu.apply(x)),
+        UnaryOp::ClippedRelu(lo, hi) => map_slice(xs, precision, closed, move |x| {
+            UnaryOp::ClippedRelu(lo, hi).apply(x)
+        }),
+        UnaryOp::Tanh => map_slice(xs, precision, closed, |x| UnaryOp::Tanh.apply(x)),
+        UnaryOp::Abs => map_slice(xs, precision, closed, |x| UnaryOp::Abs.apply(x)),
+        UnaryOp::Scale(c) => map_slice(xs, precision, closed, move |x| UnaryOp::Scale(c).apply(x)),
+        UnaryOp::Offset(c) => {
+            map_slice(xs, precision, closed, move |x| UnaryOp::Offset(c).apply(x))
+        }
+        UnaryOp::SqrtPos => map_slice(xs, precision, closed, |x| UnaryOp::SqrtPos.apply(x)),
     };
     // Parallel map preserves length; shape unchanged.
-    let t = Tensor::from_vec(input.shape(), std::mem::take(&mut data))?;
-    Ok(t)
+    Tensor::from_vec(input.shape(), data)
+}
+
+/// `f` over `xs` in parallel; under FP16, `q(f(q(x)))`, or `f(q(x))` when
+/// `closed` says `f` maps binary16 values to binary16 values.
+fn map_slice(
+    xs: &[f32],
+    precision: Precision,
+    closed: bool,
+    f: impl Fn(f32) -> f32 + Sync,
+) -> Vec<f32> {
+    use crate::f16::quantize;
+    match precision {
+        Precision::Fp32 => xs.par_iter().map(|&x| f(x)).collect(),
+        Precision::Fp16 if closed => xs.par_iter().map(|&x| f(quantize(x))).collect(),
+        Precision::Fp16 => xs.par_iter().map(|&x| quantize(f(quantize(x)))).collect(),
+    }
 }
 
 /// ReLU activation.
